@@ -1,12 +1,5 @@
 open Qgate
 
-(* Cancellation key: ops are interchangeable (cancellable in pairs / angle
-   mergeable) when they are the same gate on the same qubits and share a
-   commute set on EVERY wire they touch. *)
-let group_key (an : Commutation.t) id (i : Qcircuit.Circuit.instr) =
-  let sets = List.map (fun q -> (q, Commutation.set_index an ~wire:q ~op:id)) i.qubits in
-  (Gate.name i.gate, i.qubits, sets)
-
 let is_z_rotation = function Gate.RZ _ | Gate.P _ | Gate.Z | Gate.S | Gate.Sdg | Gate.T | Gate.Tdg -> true | _ -> false
 
 let z_angle = function
@@ -31,64 +24,75 @@ let norm a =
 
 let run c =
   let an = Commutation.analyze c in
+  let n = Qcircuit.Circuit.n_qubits c in
   let instrs = Array.of_list (Qcircuit.Circuit.instrs c) in
-  let n_ops = Array.length instrs in
-  let drop = Array.make n_ops false in
-  let replace : (int, Qcircuit.Circuit.instr) Hashtbl.t = Hashtbl.create 16 in
-  (* group candidate ops *)
-  let groups : (string * int list * (int * int) list, int list) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  let zgroups : ((int * int) list * int list, int list) Hashtbl.t = Hashtbl.create 64 in
+  let out = Array.copy instrs in
+  let drop = Array.make (Array.length instrs) false in
+  (* commute sets numbered across all wires, so one number names a wire
+     and a set on it *)
+  let first_set = Array.make (n + 1) 0 in
+  for q = 0 to n - 1 do
+    first_set.(q + 1) <- first_set.(q) + List.length (Commutation.sets_on_wire an q)
+  done;
+  let set_id id q = first_set.(q) + Commutation.set_index an ~wire:q ~op:id in
+  (* Group candidate ops.  Ops are interchangeable (cancellable in pairs /
+     angle mergeable) when they are the same gate on the same qubits and
+     share a commute set on EVERY wire they touch.  Groups are bucketed by
+     the set on the op's first wire; within a bucket a self-inverse group
+     is told apart by its gate name and its sets on the other wires.  Ids
+     accumulate newest first. *)
+  let groups = Array.make first_set.(n) [] in
+  let zgroups = Array.make first_set.(n) [] in
   Array.iteri
     (fun id (i : Qcircuit.Circuit.instr) ->
       if Gate.is_self_inverse i.gate && not (Gate.is_directive i.gate) then begin
-        let k = group_key an id i in
-        Hashtbl.replace groups k (id :: Option.value ~default:[] (Hashtbl.find_opt groups k))
+        let q = List.hd i.qubits in
+        let b = set_id id q and name = Gate.name i.gate in
+        let rest = List.map (set_id id) (List.tl i.qubits) in
+        match
+          List.find_opt
+            (fun (name', rest', _) -> String.equal name name' && List.equal Int.equal rest rest')
+            groups.(b)
+        with
+        | Some (_, _, ids) -> ids := id :: !ids
+        | None -> groups.(b) <- (name, rest, ref [ id ]) :: groups.(b)
       end
       else if is_z_rotation i.gate then begin
-        let sets = List.map (fun q -> (q, Commutation.set_index an ~wire:q ~op:id)) i.qubits in
-        let k = (sets, i.qubits) in
-        Hashtbl.replace zgroups k (id :: Option.value ~default:[] (Hashtbl.find_opt zgroups k))
+        let b = set_id id (List.hd i.qubits) in
+        zgroups.(b) <- id :: zgroups.(b)
       end)
     instrs;
-  (* self-inverse gates: cancel in pairs (keep one when odd count) *)
-  Hashtbl.iter
-    (fun _ ids ->
-      let ids = List.sort compare ids in
-      let k = List.length ids in
-      if k >= 2 then begin
-        let keep = k mod 2 in
-        (* drop all but the last [keep] occurrences *)
-        List.iteri (fun pos id -> if pos < k - keep then drop.(id) <- true) ids
-      end)
+  (* self-inverse gates: cancel in pairs (keep the last one when odd) *)
+  Array.iter
+    (List.iter (fun (_, _, ids) ->
+         match !ids with
+         | _ :: (_ :: _ as earlier) as all ->
+             List.iter (fun id -> drop.(id) <- true)
+               (if List.length all mod 2 = 1 then earlier else all)
+         | _ -> ()))
     groups;
-  (* z rotations: merge angles into the last op of the group *)
-  Hashtbl.iter
-    (fun _ ids ->
-      let ids = List.sort compare ids in
-      match List.rev ids with
-      | last :: (_ :: _ as earlier_rev) ->
+  (* z rotations: merge angles, in circuit order, into the last op *)
+  Array.iter
+    (function
+      | last :: (_ :: _ as earlier) as newest_first ->
           Qobs.incr c_merged;
           let total =
-            List.fold_left (fun acc id -> acc +. z_angle instrs.(id).Qcircuit.Circuit.gate) 0.0 ids
+            List.fold_left
+              (fun acc id -> acc +. z_angle instrs.(id).Qcircuit.Circuit.gate)
+              0.0 (List.rev newest_first)
           in
-          List.iter (fun id -> drop.(id) <- true) earlier_rev;
+          List.iter (fun id -> drop.(id) <- true) earlier;
           let total = norm total in
           if Float.abs total < 1e-10 then drop.(last) <- true
-          else
-            Hashtbl.replace replace last
-              { instrs.(last) with Qcircuit.Circuit.gate = Gate.RZ total }
+          else out.(last) <- { instrs.(last) with Qcircuit.Circuit.gate = Gate.RZ total }
       | _ -> ())
     zgroups;
   Qobs.add c_cancelled (Array.fold_left (fun acc d -> if d then acc + 1 else acc) 0 drop);
-  let out = ref [] in
-  Array.iteri
-    (fun id i ->
-      if not drop.(id) then
-        out := (match Hashtbl.find_opt replace id with Some r -> r | None -> i) :: !out)
-    instrs;
-  Qcircuit.Circuit.create (Qcircuit.Circuit.n_qubits c) (List.rev !out)
+  let kept = ref [] in
+  for id = Array.length out - 1 downto 0 do
+    if not drop.(id) then kept := out.(id) :: !kept
+  done;
+  Qcircuit.Circuit.create n !kept
 
 let rec run_fixpoint ?(max_rounds = 5) c =
   if max_rounds = 0 then c

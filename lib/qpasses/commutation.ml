@@ -70,22 +70,116 @@ let commute (g1, qs1) (g2, qs2) =
 
 type t = {
   wire_sets : int list list array;  (* per wire: sets in order, ops in order *)
-  index : (int * int, int) Hashtbl.t;  (* (wire, op) -> set index *)
+  op_wires : int array array;  (* per op: its wires, operand order *)
+  op_sets : int array array;  (* per op: set index on each of its wires *)
 }
+
+let c_pair_reuses = Qobs.counter "commutation.pair_verdicts_reused"
+
+let rec mem_from (qs : int array) q k =
+  k < Array.length qs && (qs.(k) = q || mem_from qs q (k + 1))
+
+(* Relative layout of two operand lists, packed into one int: the two
+   arities, then the rank of every operand in the sorted union, 4 bits a
+   slot.  -1 when the slots would not fit (more than 13 operands). *)
+let layout_code (qs1 : int array) (qs2 : int array) =
+  let n1 = Array.length qs1 and n2 = Array.length qs2 in
+  if n1 + n2 > 13 then -1
+  else begin
+    let rank q =
+      let r = ref 0 in
+      for k = 0 to n1 - 1 do
+        if qs1.(k) < q then incr r
+      done;
+      for k = 0 to n2 - 1 do
+        if qs2.(k) < q && not (mem_from qs1 qs2.(k) 0) then incr r
+      done;
+      !r
+    in
+    let code = ref ((n1 * 16) + n2) in
+    for k = 0 to n1 - 1 do
+      code := (!code * 16) + rank qs1.(k)
+    done;
+    for k = 0 to n2 - 1 do
+      code := (!code * 16) + rank qs2.(k)
+    done;
+    !code
+  end
+
+module Pair_memo = Hashtbl.Make (struct
+  type t = int * int * int
+
+  let equal (a1, b1, c1) (a2, b2, c2) = a1 = a2 && b1 = b2 && c1 = c2
+  let hash (a, b, c) = (((a * 65599) + b) * 65599) + c
+end)
+
+(* Pairwise verdicts memoized within one analysis.  [commute] is a pure
+   function of the two gates (exact signatures) and their relative qubit
+   layout, so the memo keys on interned per-op signature ids plus
+   [layout_code] and falls through to [commute] on a miss.  It lives only
+   as long as the analysis: no state outlives the call. *)
+let pair_verdicts (instrs : Qcircuit.Circuit.instr array) op_wires =
+  let interned = Hashtbl.create 64 in
+  let buf = Buffer.create 32 in
+  let sig_id =
+    Array.map
+      (fun (i : Qcircuit.Circuit.instr) ->
+        Buffer.clear buf;
+        Gate.add_signature buf i.gate;
+        let s = Buffer.contents buf in
+        match Hashtbl.find_opt interned s with
+        | Some id -> id
+        | None ->
+            let id = Hashtbl.length interned in
+            Hashtbl.add interned s id;
+            id)
+      instrs
+  in
+  let memo = Pair_memo.create 256 in
+  fun a b ->
+    let eval () =
+      commute (instrs.(a).gate, instrs.(a).qubits) (instrs.(b).gate, instrs.(b).qubits)
+    in
+    let layout = layout_code op_wires.(a) op_wires.(b) in
+    if layout < 0 then eval ()
+    else begin
+      let k = (sig_id.(a), sig_id.(b), layout) in
+      match Pair_memo.find_opt memo k with
+      | Some v ->
+          Qobs.incr c_pair_reuses;
+          v
+      | None ->
+          let v = eval () in
+          Pair_memo.add memo k v;
+          v
+    end
+
+let slot t ~wire ~op =
+  if op < 0 || op >= Array.length t.op_wires then raise Not_found;
+  let ws = t.op_wires.(op) in
+  let rec find k =
+    if k = Array.length ws then raise Not_found else if ws.(k) = wire then k else find (k + 1)
+  in
+  find 0
 
 let analyze c =
   let n = Qcircuit.Circuit.n_qubits c in
   let instrs = Array.of_list (Qcircuit.Circuit.instrs c) in
-  let wire_sets = Array.make (max n 1) [] in
-  let index = Hashtbl.create 64 in
+  let op_wires = Array.map (fun (i : Qcircuit.Circuit.instr) -> Array.of_list i.qubits) instrs in
+  let t =
+    {
+      wire_sets = Array.make (max n 1) [];
+      op_wires;
+      op_sets = Array.map (fun ws -> Array.make (Array.length ws) 0) op_wires;
+    }
+  in
+  (* per-wire op lists in circuit order, built in one pass *)
+  let ops_on = Array.make (max n 1) [] in
+  for id = Array.length instrs - 1 downto 0 do
+    Array.iter (fun q -> ops_on.(q) <- id :: ops_on.(q)) op_wires.(id)
+  done;
+  let commutes = pair_verdicts instrs op_wires in
   for q = 0 to n - 1 do
-    let ops_on_wire =
-      Array.to_list
-        (Array.of_seq
-           (Seq.filter
-              (fun id -> List.mem q instrs.(id).Qcircuit.Circuit.qubits)
-              (Seq.init (Array.length instrs) (fun i -> i))))
-    in
     (* group consecutive ops: a new op joins the current set iff it commutes
        with every member *)
     let sets = ref [] and current = ref [] in
@@ -97,30 +191,26 @@ let analyze c =
     in
     List.iter
       (fun id ->
-        let i = instrs.(id) in
-        let as_pair (x : Qcircuit.Circuit.instr) = (x.gate, x.qubits) in
-        if Gate.is_directive i.gate then begin
+        if Gate.is_directive instrs.(id).gate then begin
           close ();
           current := [ id ];
           close ()
         end
-        else if List.for_all (fun m -> commute (as_pair instrs.(m)) (as_pair i)) !current
-        then current := id :: !current
+        else if List.for_all (fun m -> commutes m id) !current then current := id :: !current
         else begin
           close ();
           current := [ id ]
         end)
-      ops_on_wire;
+      ops_on.(q);
     close ();
     let in_order = List.rev !sets in
-    wire_sets.(q) <- in_order;
-    List.iteri (fun si set -> List.iter (fun id -> Hashtbl.replace index (q, id) si) set) in_order
+    t.wire_sets.(q) <- in_order;
+    List.iteri
+      (fun si set -> List.iter (fun id -> t.op_sets.(id).(slot t ~wire:q ~op:id) <- si) set)
+      in_order
   done;
-  { wire_sets; index }
+  t
 
 let sets_on_wire t q = t.wire_sets.(q)
 
-let set_index t ~wire ~op =
-  match Hashtbl.find_opt t.index (wire, op) with
-  | Some v -> v
-  | None -> raise Not_found
+let set_index t ~wire ~op = t.op_sets.(op).(slot t ~wire ~op)

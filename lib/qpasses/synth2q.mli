@@ -7,7 +7,10 @@
 val synthesize : Mathkit.Mat.t -> (Qgate.Gate.t * int list) list
 (** Synthesize a 4x4 unitary with 0-3 CNOTs according to its Weyl chamber
     position.  One-qubit factors are emitted as [U(theta,phi,lam)] gates
-    (identities dropped).
+    (identities dropped).  Each call counts one
+    [synth2q.kak_decompositions]; since {!Unitary_synthesis.run} memoizes
+    its decisions per call, in the pipeline that counter is the number of
+    distinct blocks per pass.
     @raise Invalid_argument if the input is not a 4x4 unitary. *)
 
 val cnot_count : Mathkit.Mat.t -> int

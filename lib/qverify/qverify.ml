@@ -893,31 +893,33 @@ let verify_routed ?(budget = 512) ?(max_dense = 6) ?(eps = 1e-7) ?trace ~origina
                (fun u -> if u < 0 || seen.(u) then raise Exit else seen.(u) <- true)
                tau
            with Exit -> ok := false);
-          if !ok then Some tau else None
+          (* the deferred residues are leftovers the dense bound gave up
+             on, so a frame that is no permutation after them is no
+             witness of inequivalence: abstain *)
+          if !ok then Some tau
+          else
+            raise
+              (Fail_unknown
+                 "final frame conjugated through the deferred residual rotations is not a \
+                  wire permutation")
     in
     match perm with
     | None ->
+        let w = ref 0 in
+        (try
+           for i = 0 to n_phys - 1 do
+             let rx = Tableau.row_x st.tab i and rz = Tableau.row_z st.tab i in
+             match (P.phase rx, P.support rx, P.phase rz, P.support rz) with
+             | 0, [ u ], 0, [ v ] when u = v && P.code rx u = 1 && P.code rz v = 2 -> ()
+             | _ ->
+                 w := i;
+                 raise Exit
+           done
+         with Exit -> ());
         let reason =
-          if residue_tail <> [] then
-            "final frame conjugated through the residual rotations is not a wire \
-             permutation"
-          else begin
-            let w = ref 0 in
-            (try
-               for i = 0 to n_phys - 1 do
-                 let rx = Tableau.row_x st.tab i and rz = Tableau.row_z st.tab i in
-                 match (P.phase rx, P.support rx, P.phase rz, P.support rz) with
-                 | 0, [ u ], 0, [ v ] when u = v && P.code rx u = 1 && P.code rz v = 2 -> ()
-                 | _ ->
-                     w := i;
-                     raise Exit
-               done
-             with Exit -> ());
-            Printf.sprintf "final frame is not a wire permutation: wire %d maps to %s / %s"
-              !w
-              (P.to_string (Tableau.row_x st.tab !w))
-              (P.to_string (Tableau.row_z st.tab !w))
-          end
+          Printf.sprintf "final frame is not a wire permutation: wire %d maps to %s / %s" !w
+            (P.to_string (Tableau.row_x st.tab !w))
+            (P.to_string (Tableau.row_z st.tab !w))
         in
         finish (Not_equivalent { reason; location = None })
     | Some tau ->

@@ -140,6 +140,113 @@ let test_commutation_sets () =
   let an2 = Commutation.analyze c2 in
   checki "h splits sets" 3 (List.length (Commutation.sets_on_wire an2 0))
 
+(* The per-wire-scan analysis that [Commutation.analyze] replaced, kept as a
+   reference: one scan of the whole circuit per wire, and a direct
+   [Commutation.commute] call per (member, candidate) pair. *)
+let reference_sets c =
+  let instrs = Array.of_list (Circuit.instrs c) in
+  Array.init (Circuit.n_qubits c) (fun q ->
+      let on_wire =
+        List.filter
+          (fun id -> List.mem q instrs.(id).Circuit.qubits)
+          (List.init (Array.length instrs) Fun.id)
+      in
+      let pair id = (instrs.(id).Circuit.gate, instrs.(id).Circuit.qubits) in
+      let sets = ref [] and current = ref [] in
+      let close () =
+        if !current <> [] then begin
+          sets := List.rev !current :: !sets;
+          current := []
+        end
+      in
+      List.iter
+        (fun id ->
+          if Gate.is_directive instrs.(id).gate then begin
+            close ();
+            current := [ id ];
+            close ()
+          end
+          else if List.for_all (fun m -> Commutation.commute (pair m) (pair id)) !current then
+            current := id :: !current
+          else begin
+            close ();
+            current := [ id ]
+          end)
+        on_wire;
+      close ();
+      List.rev !sets)
+
+(* Angles that exercise exact signatures: values one ulp apart, and both
+   signed zeros. *)
+let angle_pool = [ 0.0; -0.0; 0.5; Float.succ 0.5; Float.pi; Float.pred Float.pi; 1.25 ]
+
+(* Random circuits over a gate pool with multi-wire barriers, measures,
+   repeated [Unitary2] payloads (one of them diagonal, so it commutes with
+   z rotations), and parameterized gates drawn from [angle_pool]. *)
+let analysis_circuit seed =
+  let rng = Rng.create seed in
+  let n = 2 + Rng.int rng 4 in
+  let angle () = Rng.pick rng angle_pool in
+  let diag =
+    Synth2q.ops_unitary 2 [ (Gate.CX, [ 0; 1 ]); (Gate.RZ 0.7, [ 1 ]); (Gate.CX, [ 0; 1 ]) ]
+  in
+  let dense = Randmat.su4 (Rng.create (seed + 1)) in
+  let distinct k =
+    let perm = Rng.permutation rng n in
+    Array.to_list (Array.sub perm 0 k)
+  in
+  let b = Circuit.Builder.create n in
+  for _ = 1 to Rng.int rng 40 do
+    let one g = Circuit.Builder.add b g (distinct 1) in
+    let two g = Circuit.Builder.add b g (distinct 2) in
+    match Rng.int rng 16 with
+    | 0 -> one Gate.H
+    | 1 -> one (Gate.RZ (angle ()))
+    | 2 -> one (Gate.RX (angle ()))
+    | 3 -> one (Gate.P (angle ()))
+    | 4 -> one (Rng.pick rng [ Gate.X; Gate.Z; Gate.S; Gate.T; Gate.SX ])
+    | 5 -> one (Gate.U (angle (), angle (), angle ()))
+    | 6 | 7 -> two Gate.CX
+    | 8 -> two (Rng.pick rng [ Gate.CZ; Gate.SWAP ])
+    | 9 -> two (Gate.CP (angle ()))
+    | 10 -> two (Rng.pick rng [ Gate.CRZ (angle ()); Gate.RZZ (angle ()) ])
+    | 11 -> two (Gate.Unitary2 diag)
+    | 12 -> two (Gate.Unitary2 dense)
+    | 13 ->
+        let k = 1 + Rng.int rng n in
+        Circuit.Builder.add b (Gate.Barrier k) (distinct k)
+    | 14 -> one Gate.Measure
+    | _ -> if n >= 3 then Circuit.Builder.add b Gate.CCX (distinct 3) else two Gate.CX
+  done;
+  Circuit.Builder.circuit b
+
+let prop_analyze_matches_reference =
+  QCheck.Test.make ~name:"analyze = per-wire-scan reference" ~count:300
+    (QCheck.make ~print:string_of_int (QCheck.Gen.int_range 0 1_000_000))
+    (fun seed ->
+      let c = analysis_circuit seed in
+      let an = Commutation.analyze c and expected = reference_sets c in
+      let instrs = Array.of_list (Circuit.instrs c) in
+      Array.for_all Fun.id
+        (Array.mapi
+           (fun q sets ->
+             Commutation.sets_on_wire an q = sets
+             && List.for_all Fun.id
+                  (List.mapi
+                     (fun si set ->
+                       List.for_all (fun op -> Commutation.set_index an ~wire:q ~op = si) set)
+                     sets)
+             && Array.for_all Fun.id
+                  (Array.mapi
+                     (fun op (i : Circuit.instr) ->
+                       List.mem q i.qubits
+                       ||
+                       match Commutation.set_index an ~wire:q ~op with
+                       | _ -> false
+                       | exception Not_found -> true)
+                     instrs))
+           expected))
+
 (* ---------- Cancellation ---------- *)
 
 let test_cancel_adjacent_cx () =
@@ -331,6 +438,114 @@ let test_resynth_random_preserves () =
     check "resynthesis preserves unitary" true (preserves_unitary Unitary_synthesis.run c)
   done
 
+(* The per-block decision without the memo: synthesize every block and keep
+   the new body when it spends fewer CNOTs, or equal CNOTs in fewer gates. *)
+let reference_resynth c =
+  let improve = function
+    | Blocks.Single i -> [ i ]
+    | Blocks.Block b ->
+        let lo, hi = b.pair in
+        let body =
+          List.map
+            (fun (g, qs) ->
+              { Circuit.gate = g; qubits = List.map (fun q -> if q = 0 then lo else hi) qs })
+            (Synth2q.synthesize (Blocks.block_unitary b))
+        in
+        let cx ops =
+          List.fold_left (fun acc (i : Circuit.instr) -> acc + Blocks.gate_cx_cost i.gate) 0 ops
+        in
+        if
+          cx body < cx b.ops
+          || (cx body = cx b.ops && List.length body < List.length b.ops)
+        then body
+        else b.ops
+  in
+  Circuit.create (Circuit.n_qubits c) (List.concat_map improve (Blocks.collect c))
+
+(* bit-exact circuit equality: same wires and same gate signatures *)
+let signature (i : Circuit.instr) =
+  let buf = Buffer.create 16 in
+  Gate.add_signature buf i.gate;
+  (Buffer.contents buf, i.qubits)
+
+let same_circuit a b =
+  Circuit.n_qubits a = Circuit.n_qubits b
+  && List.equal ( = ) (List.map signature (Circuit.instrs a)) (List.map signature (Circuit.instrs b))
+
+let counters f =
+  let root = Qobs.Collector.create ~label:"synth-test" () in
+  let r = Qobs.with_collector root f in
+  (r, Qobs.Trace.counters_total (Qobs.Trace.of_root root))
+
+let counter name totals = Option.value ~default:0 (List.assoc_opt name totals)
+
+let test_resynth_memo_counts () =
+  (* k copies of one reducible block on disjoint wire pairs (i, i + k),
+     same orientation: one decomposition serves all of them *)
+  let k = 5 in
+  let copy lo hi =
+    [
+      { Circuit.gate = Gate.H; qubits = [ lo ] };
+      { gate = Gate.CX; qubits = [ lo; hi ] };
+      { gate = Gate.RZ 0.3; qubits = [ hi ] };
+      { gate = Gate.CX; qubits = [ lo; hi ] };
+      { gate = Gate.CX; qubits = [ lo; hi ] };
+    ]
+  in
+  let c = Circuit.create (2 * k) (List.concat (List.init k (fun i -> copy i (i + k)))) in
+  let out, totals = counters (fun () -> Unitary_synthesis.run c) in
+  checki "blocks considered" k (counter "synth.blocks_considered" totals);
+  checki "one KAK decomposition" 1 (counter "synth2q.kak_decompositions" totals);
+  checki "every copy resynthesized" k (counter "synth.blocks_resynthesized" totals);
+  check "equals the unmemoized decisions" true (same_circuit out (reference_resynth c))
+
+(* Random circuits built from a few block templates: exact repeats on
+   random wire pairs in either orientation, near repeats (one angle moved
+   by one ulp or a zero's sign flipped), separated by stray gates and
+   barriers. *)
+let block_circuit seed =
+  let rng = Rng.create seed in
+  let n = 2 + Rng.int rng 4 in
+  let templates =
+    [
+      [ (Gate.CX, [ 0; 1 ]); (Gate.RZ 0.5, [ 1 ]); (Gate.CX, [ 0; 1 ]) ];
+      [ (Gate.H, [ 0 ]); (Gate.CX, [ 0; 1 ]); (Gate.CX, [ 1; 0 ]); (Gate.CX, [ 0; 1 ]) ];
+      [ (Gate.CX, [ 0; 1 ]); (Gate.CX, [ 0; 1 ]); (Gate.RX 0.0, [ 0 ]) ];
+      [ (Gate.CP 1.25, [ 0; 1 ]); (Gate.U (0.5, 0.0, Float.pi), [ 1 ]); (Gate.CX, [ 1; 0 ]) ];
+    ]
+  in
+  let nudge = function
+    | Gate.RZ a -> Gate.RZ (Float.succ a)
+    | Gate.RX a -> Gate.RX (-.a)
+    | Gate.CP a -> Gate.CP (Float.pred a)
+    | Gate.U (t, p, l) -> Gate.U (t, -.p, l)
+    | g -> g
+  in
+  let b = Circuit.Builder.create n in
+  for _ = 1 to 1 + Rng.int rng 12 do
+    let perm = Rng.permutation rng n in
+    let wire q = perm.(q) in
+    if Rng.int rng 6 = 0 then begin
+      let k = 1 + Rng.int rng n in
+      Circuit.Builder.add b (Gate.Barrier k) (Array.to_list (Array.sub perm 0 k))
+    end;
+    let template = Rng.pick rng templates in
+    let near = Rng.int rng 3 = 0 in
+    List.iter
+      (fun (g, qs) ->
+        Circuit.Builder.add b (if near then nudge g else g) (List.map wire qs))
+      template;
+    if Rng.bool rng then Circuit.Builder.add b Gate.T [ wire (Rng.int rng n) ]
+  done;
+  Circuit.Builder.circuit b
+
+let prop_resynth_matches_reference =
+  QCheck.Test.make ~name:"memoized resynthesis = per-block reference" ~count:150
+    (QCheck.make ~print:string_of_int (QCheck.Gen.int_range 0 1_000_000))
+    (fun seed ->
+      let c = block_circuit seed in
+      same_circuit (Unitary_synthesis.run c) (reference_resynth c))
+
 (* ---------- Basis ---------- *)
 
 let test_basis_output_is_basis () =
@@ -373,6 +588,7 @@ let () =
         [
           Alcotest.test_case "pairs" `Quick test_commute_pairs;
           Alcotest.test_case "sets" `Quick test_commutation_sets;
+          QCheck_alcotest.to_alcotest prop_analyze_matches_reference;
         ] );
       ( "cancellation",
         [
@@ -396,6 +612,8 @@ let () =
           Alcotest.test_case "free swap" `Quick test_resynth_free_swap;
           Alcotest.test_case "gain" `Quick test_resynth_gain;
           Alcotest.test_case "random preserves" `Quick test_resynth_random_preserves;
+          Alcotest.test_case "memo counts" `Quick test_resynth_memo_counts;
+          QCheck_alcotest.to_alcotest prop_resynth_matches_reference;
         ] );
       ( "basis",
         [

@@ -423,6 +423,34 @@ let test_montreal_scale () =
   check (Printf.sprintf "montreal certify: %s" (Qverify.to_json v)) (is_equiv v);
   check (Printf.sprintf "montreal under 1s (%.3fs)" dt) (dt < 1.0)
 
+(* Deferred residues: when the dense bound gives up on a residue cluster,
+   its leftover is conjugated through the final frame.  A frame that is no
+   wire permutation afterwards is no witness of inequivalence, so a small
+   budget must abstain, not refute.  QFT 20 from the paper suite, through
+   QASM, NASSC on montreal, is such a case at budget 64; budget 256
+   certifies it. *)
+let test_deferred_residue_abstains () =
+  let e = Qbench.Suite.find "QFT 20-qubits" in
+  let c = Qasm_parser.parse (Qasm.to_string (e.build ())) in
+  let params = { Qroute.Engine.default_params with seed = 2081792965 } in
+  let r =
+    Qroute.Pipeline.transpile ~params ~trials:1 ~workers:1
+      ~router:(Qroute.Pipeline.Nassc_router Qroute.Nassc.default_config)
+      Topology.Devices.montreal c
+  in
+  let il = Option.get r.Qroute.Pipeline.initial_layout in
+  let fl = Option.get r.Qroute.Pipeline.final_layout in
+  let verify budget =
+    Qverify.verify_routed ~budget ~original:c ~routed:r.Qroute.Pipeline.circuit
+      ~initial_layout:il ~final_layout:fl ()
+  in
+  let small = verify 64 in
+  check
+    (Printf.sprintf "budget 64 does not refute: %s" (Qverify.to_json small))
+    (match small with Qverify.Not_equivalent _ -> false | _ -> true);
+  let v = verify 256 in
+  check (Printf.sprintf "budget 256 certifies: %s" (Qverify.to_json v)) (is_equiv v)
+
 let test_json () =
   let a = circ 1 [ (G.T, [ 0 ]) ] in
   let j = Qverify.to_json (Qverify.verify_pair a a) in
@@ -454,5 +482,6 @@ let () =
           Alcotest.test_case "clifford-mutation" `Quick test_clifford_mutation;
           Alcotest.test_case "qsim-agreement" `Slow test_qsim_agreement;
           Alcotest.test_case "montreal-scale" `Slow test_montreal_scale;
+          Alcotest.test_case "deferred-residue-abstains" `Slow test_deferred_residue_abstains;
         ] );
     ]
