@@ -44,7 +44,7 @@ regress:
 	dune exec bench/main.exe -- --regress --quick
 
 # optimality-gap harness: certifies small corpus circuits with the exact
-# oracle and tables the gap per router (sabre/nassc/astar/hybrid); writes
+# oracle and tables the gap per router (sabre/nassc/astar); writes
 # a BENCH_<sha>-gap.json snapshot
 gap:
 	dune exec bench/main.exe -- --only gap --quick

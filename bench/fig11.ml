@@ -1,7 +1,6 @@
 (* Figure 11: the routing algorithms under the montreal noise model.
    (a) additional CNOT count, (b) success rate (Monte-Carlo, 8192 paper
-   shots; default here 2048 for runtime).  The paper's four routers plus
-   the hybrid windowed-exact router as an extra column. *)
+   shots; default here 2048 for runtime).  The paper's four routers. *)
 
 let routers =
   [
@@ -9,7 +8,6 @@ let routers =
     ("SABRE+HA", Qroute.Pipeline.Sabre_ha);
     ("NASSC", Qroute.Pipeline.Nassc_router Qroute.Nassc.default_config);
     ("NASSC+HA", Qroute.Pipeline.Nassc_ha Qroute.Nassc.default_config);
-    ("HYBRID", Qroute.Pipeline.Hybrid_router Qroute.Hybrid.default_config);
   ]
 
 let entries () = List.filter (fun e -> e.Qbench.Suite.noise_subset) Qbench.Suite.paper_suite
@@ -20,7 +18,7 @@ let cnot_counts ~seeds () =
   Printf.printf "=== Figure 11a: additional CNOT count on ibmq_montreal noise setup ===\n";
   Printf.printf "%-18s" "name";
   List.iter (fun (n, _) -> Printf.printf " %10s" n) routers;
-  Printf.printf "\n%s\n" (String.make 75 '-');
+  Printf.printf "\n%s\n" (String.make 62 '-');
   List.iter
     (fun (e : Qbench.Suite.entry) ->
       let circuit = e.build () in
@@ -56,7 +54,7 @@ let success_rates ~shots () =
     shots;
   Printf.printf "%-18s" "name";
   List.iter (fun (n, _) -> Printf.printf " %12s" n) routers;
-  Printf.printf "   (ESP in parentheses)\n%s\n" (String.make 110 '-');
+  Printf.printf "   (ESP in parentheses)\n%s\n" (String.make 93 '-');
   List.iter
     (fun (e : Qbench.Suite.entry) ->
       let circuit = e.build () in

@@ -13,14 +13,13 @@ let kind = "nassc-bench-gap"
 
 (* generous: the oracle is only consulted offline, and corpus instances
    are small enough that certified optima matter more than latency *)
-let oracle_budget = { Qroute.Exact.max_nodes = 5_000_000; max_seconds = infinity }
+let oracle_budget = { Qroute.Exact.max_nodes = 5_000_000 }
 
 let routers =
   [
     ("sabre", Qroute.Pipeline.Sabre_router);
     ("nassc", Qroute.Pipeline.Nassc_router Qroute.Nassc.default_config);
     ("astar", Qroute.Pipeline.Astar_router);
-    ("hybrid", Qroute.Pipeline.Hybrid_router Qroute.Hybrid.default_config);
   ]
 
 type row = {

@@ -12,10 +12,6 @@ let routers =
   [
     ("sabre", Qroute.Pipeline.Sabre_router);
     ("nassc", Qroute.Pipeline.Nassc_router Qroute.Nassc.default_config);
-    (* hybrid rows are newer than the checked-in baseline; compare_baseline
-       tolerates missing baseline entries ("new"), so adding the router
-       needs no schema bump and no baseline regeneration *)
-    ("hybrid", Qroute.Pipeline.Hybrid_router Qroute.Hybrid.default_config);
   ]
 
 let git_short_sha () =

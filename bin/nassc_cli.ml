@@ -19,7 +19,7 @@ let size_arg =
   Arg.(value & opt int 27 & info [ "n"; "size" ] ~docv:"N" ~doc)
 
 let router_arg =
-  let doc = "Router: sabre | nassc | sabre-ha | nassc-ha | hybrid | none." in
+  let doc = "Router: sabre | nassc | sabre-ha | nassc-ha | none." in
   Arg.(value & opt string "nassc" & info [ "r"; "router" ] ~docv:"ROUTER" ~doc)
 
 let seed_arg =
@@ -218,7 +218,6 @@ let router_of_string cal = function
       ignore cal;
       Ok Qroute.Pipeline.Sabre_ha
   | "nassc-ha" -> Ok (Qroute.Pipeline.Nassc_ha Qroute.Nassc.default_config)
-  | "hybrid" -> Ok (Qroute.Pipeline.Hybrid_router Qroute.Hybrid.default_config)
   | "none" -> Ok Qroute.Pipeline.Full_connectivity
   | r -> Error ("unknown router " ^ r)
 
@@ -267,23 +266,38 @@ let print_trial_stats (r : Qroute.Pipeline.result) =
       r.trial_stats
   end
 
-(* streaming mode: incompatible options are reported as located diagnostics
-   (rule route.stream-unsupported), never exceptions *)
-let stream_diag rule msg =
+(* routing failures and incompatible options are reported as located
+   diagnostics (stage route), never exceptions; the result is the exit code *)
+let route_diag rule msg =
   Format.eprintf "%a@." Qlint.Diagnostic.pp
     (Qlint.Diagnostic.error ~loc:(Qlint.Diagnostic.Stage "route") ~rule msg);
   1
 
+(* the routers place every logical qubit on its own physical one, so a
+   circuit wider than the device is an input error (rule route.width);
+   without routing the device size does not matter.  Reports the
+   diagnostic and returns [Some] exit code, or [None] when the circuit fits. *)
+let width_error router coupling circuit =
+  let n_log = Qcircuit.Circuit.n_qubits circuit in
+  let n_phys = Topology.Coupling.n_qubits coupling in
+  match router with
+  | Qroute.Pipeline.Full_connectivity -> None
+  | _ when n_log > n_phys ->
+      Some
+        (route_diag "route.width"
+           (Printf.sprintf "circuit has %d qubits but the device has only %d" n_log n_phys))
+  | _ -> None
+
 let run_stream ~router_name ~router ~trials ~window ~seed ~cal coupling label circuit =
   if not (Qroute.Pipeline.streamable router) then
-    stream_diag "route.stream-unsupported"
+    route_diag "route.stream-unsupported"
       (Printf.sprintf
          "--stream needs a windowable router (sabre | nassc | sabre-ha | nassc-ha); %s \
           requires the whole circuit"
          router_name)
   else if trials > 1 then
-    stream_diag "route.stream-unsupported" "--stream routes a single trial; drop --trials"
-  else if window < 1 then stream_diag "route.stream-unsupported" "--window must be >= 1"
+    route_diag "route.stream-unsupported" "--stream routes a single trial; drop --trials"
+  else if window < 1 then route_diag "route.stream-unsupported" "--window must be >= 1"
   else begin
     let params = { Qroute.Engine.default_params with seed } in
     let t0 = Unix.gettimeofday () in
@@ -295,7 +309,7 @@ let run_stream ~router_name ~router ~trials ~window ~seed ~cal coupling label ci
         (Qcircuit.Source.of_circuit circuit)
     with
     | exception (Qroute.Engine.Routing_stuck _ as e) ->
-        stream_diag "route.stuck" (Printexc.to_string e)
+        route_diag "route.stuck" (Printexc.to_string e)
     | r ->
         let dt = Unix.gettimeofday () -. t0 in
         let open Qroute.Pipeline in
@@ -340,6 +354,9 @@ let transpile_cmd benchmark topology size router seed trials workers qasm lint t
           1
       | Ok router ->
           let circuit = entry.build () in
+          match width_error router coupling circuit with
+          | Some code -> code
+          | None ->
           if stream then
             run_stream ~router_name ~router ~trials ~window ~seed ~cal coupling entry.name
               circuit
@@ -352,10 +369,7 @@ let transpile_cmd benchmark topology size router seed trials workers qasm lint t
                   coupling circuit)
           with
           | exception (Qroute.Engine.Routing_stuck _ as e) ->
-              Format.eprintf "%a@." Qlint.Diagnostic.pp
-                (Qlint.Diagnostic.error ~loc:(Qlint.Diagnostic.Stage "route")
-                   ~rule:"route.stuck" (Printexc.to_string e));
-              1
+              route_diag "route.stuck" (Printexc.to_string e)
           | r, trace_v, totals ->
           Printf.printf "benchmark:       %s (%d qubits)\n" entry.name entry.n_qubits;
           Printf.printf "topology:        %s (%d qubits)\n" topology
@@ -414,6 +428,9 @@ let transpile_file_cmd path topology size router seed trials workers qasm lint t
           prerr_endline e;
           1
       | Ok router ->
+          match width_error router coupling circuit with
+          | Some code -> code
+          | None ->
           if stream then
             run_stream ~router_name ~router ~trials ~window ~seed ~cal coupling path
               circuit
@@ -426,10 +443,7 @@ let transpile_file_cmd path topology size router seed trials workers qasm lint t
                   coupling circuit)
           with
           | exception (Qroute.Engine.Routing_stuck _ as e) ->
-              Format.eprintf "%a@." Qlint.Diagnostic.pp
-                (Qlint.Diagnostic.error ~loc:(Qlint.Diagnostic.Stage "route")
-                   ~rule:"route.stuck" (Printexc.to_string e));
-              1
+              route_diag "route.stuck" (Printexc.to_string e)
           | r, trace_v, totals ->
           Printf.printf "input:           %s (%d qubits, %d ops)\n" path
             (Qcircuit.Circuit.n_qubits circuit)
@@ -539,10 +553,13 @@ let verify_cmd files topology size router_name seed corpus jsonl =
             | exception Sys_error m ->
                 Printf.eprintf "%s\n" m;
                 incr file_errors
-            | original ->
-                let r = Qroute.Pipeline.transpile ~params ~router coupling original in
-                cell ~name:(Filename.basename f) ~tname:topology ~rname:router_name
-                  ~trials:1 ~original r)
+            | original -> (
+                match width_error router coupling original with
+                | Some _ -> incr file_errors
+                | None ->
+                    let r = Qroute.Pipeline.transpile ~params ~router coupling original in
+                    cell ~name:(Filename.basename f) ~tname:topology ~rname:router_name
+                      ~trials:1 ~original r))
           files
   end;
   if not corpus && files = [] then begin
@@ -725,7 +742,7 @@ let cmd_check =
          "Static analysis: validate pass-contract orderings, audit the commutation and \
           CNOT-savings tables against ground truth, and lint circuits end to end. Exit \
           status is 1 when any $(b,error)-severity diagnostic fired and 0 otherwise — \
-          warnings (e.g. gate.dead, distmat.legacy) never fail the run. With --jsonl \
+          warnings (e.g. gate.dead) never fail the run. With --jsonl \
           FILE every diagnostic is also appended to FILE as one JSON object per line \
           with the stable fields kind/severity/rule/message plus the location when \
           known."

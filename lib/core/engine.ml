@@ -181,7 +181,6 @@ let c_h_lookahead = Qobs.counter "engine.h_lookahead_evals"
 let c_swaps = Qobs.counter "engine.swaps_emitted"
 let c_force = Qobs.counter "engine.force_progress_escapes"
 let c_score_cache = Qobs.counter "engine.score_cache_hits"
-let c_legacy_dist = Qobs.counter "engine.legacy_distmat_routes"
 let g_predicted = Qobs.gauge "engine.predicted_cnot_savings"
 let g_window_peak = Qobs.gauge "engine.window_peak_resident"
 
@@ -366,9 +365,8 @@ let two_qubit_front_of wk front_ids mapping =
       else None)
     front_ids
 
-(* the main routing loop, generic over the walker; returns the SWAP count.
-   [oracle] is the exact-window hook ([?window] of [route_once]). *)
-let route_core params coupling ~rng ~dist ~bonus ~oracle ~stream ~mapping wk =
+(* the main routing loop, generic over the walker; returns the SWAP count *)
+let route_core params coupling ~rng ~dist ~bonus ~stream ~mapping wk =
   let n_phys = Coupling.n_qubits coupling in
   let scratch = Scoring.make_scratch ~n_phys in
   let n_swaps = ref 0 in
@@ -514,45 +512,6 @@ let route_core params coupling ~rng ~dist ~bonus ~oracle ~stream ~mapping wk =
         decay.(p1) <- decay.(p1) +. params.decay_delta;
         decay.(p2) <- decay.(p2) +. params.decay_delta
   in
-  (* exact-window hook: on a stuck front, let the caller hand back a full
-     SWAP sequence (the hybrid router's oracle).  The swaps are emitted and
-     applied verbatim — Swap_plain, so downstream finalizers treat them like
-     any heuristic swap — and each is recorded as a single-candidate step so
-     flight records stay replayable.  Declining (None / empty) falls through
-     to the heuristic path untouched; with no hook installed this is free
-     and the engine's behavior is byte-identical to before. *)
-  let try_window front_ids =
-    match oracle with
-    | None -> false
-    | Some solve -> (
-        let front_pairs = two_qubit_front_of wk front_ids mapping in
-        match solve ~front:front_pairs with
-        | None | Some [] -> false
-        | Some swaps ->
-            let front_n = List.length front_pairs in
-            List.iter
-              (fun (p, q) ->
-                ignore (emit Gate.SWAP [ p; q ] Swap_plain);
-                if Qobs.Recorder.active () then
-                  Qobs.Recorder.record_step ~front:front_n
-                    ~candidates:
-                      [
-                        {
-                          Qobs.Recorder.p1 = min p q;
-                          p2 = max p q;
-                          h_basic = 0.0;
-                          h_lookahead = 0.0;
-                          h = 0.0;
-                          bonus = 0.0;
-                        };
-                      ]
-                    ~chosen:(p, q) ~chosen_bonus:0.0 ();
-                apply_swap mapping p q;
-                incr n_swaps;
-                Qobs.incr c_swaps)
-              swaps;
-            true)
-  in
   let force_progress front_ids =
     (* escape valve: route the first front 2q gate along a shortest path *)
     Qobs.incr c_force;
@@ -604,28 +563,24 @@ let route_core params coupling ~rng ~dist ~bonus ~oracle ~stream ~mapping wk =
       stall := 0;
       Array.fill decay 0 n_phys 1.0
     end
-    else if try_window front_ids then stall := 0
+    else if !stall >= params.stall_limit then begin
+      force_progress front_ids;
+      stall := 0
+    end
     else begin
-      if !stall >= params.stall_limit then begin
-        force_progress front_ids;
-        stall := 0
-      end
-      else begin
-        apply_best_swap front_ids;
-        incr stall
-      end
+      apply_best_swap front_ids;
+      incr stall
     end
   done;
   !n_swaps
 
-let route_once params coupling ~rng ~dist ~bonus ?window ?dag circuit init_layout =
+let route_once params coupling ~rng ~dist ~bonus ?dag circuit init_layout =
   Qobs.span "engine.route_once" @@ fun () ->
   let n_phys = Coupling.n_qubits coupling in
   let n_log = Qcircuit.Circuit.n_qubits circuit in
   if n_log > n_phys then invalid_arg "Engine.route_once: circuit larger than device";
   if Distmat.n dist <> n_phys then
     invalid_arg "Engine.route_once: distance matrix size does not match device";
-  if Distmat.is_legacy dist then Qobs.incr c_legacy_dist;
   List.iter
     (fun (i : Qcircuit.Circuit.instr) ->
       if Gate.arity i.gate > 2 && not (Gate.is_directive i.gate) then
@@ -650,7 +605,7 @@ let route_once params coupling ~rng ~dist ~bonus ?window ?dag circuit init_layou
   in
   let stream = stream_create ~n_phys () in
   let n_swaps =
-    route_core params coupling ~rng ~dist ~bonus ~oracle:window ~stream ~mapping wk
+    route_core params coupling ~rng ~dist ~bonus ~stream ~mapping wk
   in
   {
     routed = List.rev stream.s_rev;
@@ -667,7 +622,6 @@ let route_stream params coupling ~rng ~dist ~bonus ~window ?(keep = 64) ~sink so
   if n_log > n_phys then invalid_arg "Engine.route_stream: circuit larger than device";
   if Distmat.n dist <> n_phys then
     invalid_arg "Engine.route_stream: distance matrix size does not match device";
-  if Distmat.is_legacy dist then Qobs.incr c_legacy_dist;
   let mapping = mapping_of_layout ~n_phys init_layout in
   let initial_layout = Array.copy mapping.l2p in
   (* gate arity and qubit-range validation happens per admission inside
@@ -685,7 +639,7 @@ let route_stream params coupling ~rng ~dist ~bonus ~window ?(keep = 64) ~sink so
   in
   let stream = stream_create ~sink ~keep ~n_phys () in
   let n_swaps =
-    route_core params coupling ~rng ~dist ~bonus ~oracle:None ~stream ~mapping wk
+    route_core params coupling ~rng ~dist ~bonus ~stream ~mapping wk
   in
   stream_drain stream;
   Qobs.gauge_set g_window_peak (float_of_int (Qcircuit.Streamdag.peak_resident sd));

@@ -171,7 +171,6 @@ val route_once :
   rng:Mathkit.Rng.t ->
   dist:Topology.Distmat.t ->
   bonus:bonus_fn ->
-  ?window:(front:(int * int) list -> (int * int) list option) ->
   ?dag:Qcircuit.Dag.t ->
   Qcircuit.Circuit.t ->
   int array ->
@@ -183,16 +182,6 @@ val route_once :
     only <=2-qubit gates and directives.  [dag] must be the DAG of
     [circuit] when given (the DAG is a pure function of the circuit, so
     callers routing the same circuit repeatedly build it once).
-
-    [window], when given, is consulted on every stuck front layer with the
-    front's two-qubit gates as physical pairs under the current mapping
-    (pairwise disjoint by construction).  Returning [Some swaps] emits and
-    applies the whole sequence — bypassing the heuristic for that front and
-    resetting the stall counter — which is how the hybrid router injects
-    exact window solutions; [None] (or [Some []]) falls through to the
-    heuristic scoring path unchanged.  A returned sequence must consist of
-    coupling edges and is trusted to make the front executable.  Without
-    [window] the engine behaves byte-identically to previous releases.
     @raise Invalid_argument otherwise, or when the layout is unusable.
     @raise Routing_stuck when a front gate has no swap candidates. *)
 

@@ -6,11 +6,9 @@ open Topology
    transposition pruning.  Dependency-free by construction — no ILP solver,
    just the flat Topology.Distmat and the coupling edge list. *)
 
-type budget = { max_nodes : int; max_seconds : float }
+type budget = { max_nodes : int }
 
-let default_budget = { max_nodes = 200_000; max_seconds = infinity }
-
-type outcome = Optimal of (int * int) list | Budget_exceeded
+let default_budget = { max_nodes = 200_000 }
 
 type route_outcome =
   | Routed of { n_swaps : int; initial_layout : int array }
@@ -18,25 +16,19 @@ type route_outcome =
 
 let c_nodes = Qobs.counter "exact.nodes_expanded"
 let c_trips = Qobs.counter "exact.budget_trips"
-let c_solved = Qobs.counter "exact.windows_solved"
+let c_solved = Qobs.counter "exact.solved"
 
 exception Out_of_budget
 
-(* per-solve budget bookkeeping; the node count doubles as the time-check
-   throttle so the hot loop reads the clock at most once per 256 nodes *)
-type gas = { mutable nodes : int; b : budget; t0 : float }
+(* per-solve node budget, shared by every layout a free-layout solve tries *)
+type gas = { mutable nodes : int; limit : int }
 
-let gas_of b = { nodes = 0; b; t0 = Unix.gettimeofday () }
+let gas_of b = { nodes = 0; limit = b.max_nodes }
 
 let burn gas =
   gas.nodes <- gas.nodes + 1;
   Qobs.incr c_nodes;
-  if gas.nodes > gas.b.max_nodes then raise Out_of_budget;
-  if
-    gas.b.max_seconds < infinity
-    && gas.nodes land 255 = 0
-    && Unix.gettimeofday () -. gas.t0 > gas.b.max_seconds
-  then raise Out_of_budget
+  if gas.nodes > gas.limit then raise Out_of_budget
 
 (* ---- the admissible lower bound ----
 
@@ -59,126 +51,6 @@ let lower_bound ~dist pairs =
       sum := !sum + need)
     pairs;
   max !mx ((!sum + 1) / 2)
-
-let check_disjoint pairs =
-  let seen = Hashtbl.create 16 in
-  List.iter
-    (fun (a, b) ->
-      if a = b then invalid_arg "Exact: degenerate pair";
-      List.iter
-        (fun q ->
-          if Hashtbl.mem seen q then invalid_arg "Exact: pairs must be disjoint";
-          Hashtbl.replace seen q ())
-        [ a; b ])
-    pairs
-
-(* ---- window solve: minimal swaps to make every pair adjacent ----
-
-   The state is the position of each tracked token (the qubits named by the
-   pairs); untracked qubits are interchangeable, so the canonical key is
-   just the token-position vector.  Candidate swaps are the coupling edges
-   touching at least one token — a swap of two untracked qubits leaves the
-   state unchanged and can never appear in a minimal solution. *)
-
-let solve_window ?(budget = default_budget) coupling ~dist ~pairs =
-  Qobs.span "exact.solve_window" @@ fun () ->
-  check_disjoint pairs;
-  let n_phys = Coupling.n_qubits coupling in
-  if n_phys > 255 then invalid_arg "Exact.solve_window: device too large for the oracle";
-  let d = Distmat.raw dist and dn = Distmat.n dist in
-  if dn <> n_phys then invalid_arg "Exact.solve_window: distance matrix size mismatch";
-  List.iter
-    (fun (a, b) ->
-      if a < 0 || a >= n_phys || b < 0 || b >= n_phys then
-        invalid_arg "Exact.solve_window: pair out of range")
-    pairs;
-  if pairs = [] then Optimal []
-  else begin
-    (* token t lives at loc.(t); pos.(p) holds the token at p or -1 *)
-    let qubits = List.sort_uniq compare (List.concat_map (fun (a, b) -> [ a; b ]) pairs) in
-    let n_tok = List.length qubits in
-    let loc = Array.of_list qubits in
-    let pos = Array.make n_phys (-1) in
-    Array.iteri (fun t p -> pos.(p) <- t) loc;
-    let tok_pairs =
-      List.map (fun (a, b) -> (pos.(a), pos.(b))) pairs
-    in
-    let h () =
-      let mx = ref 0 and sum = ref 0 in
-      List.iter
-        (fun (ta, tb) ->
-          let dd = d.((loc.(ta) * dn) + loc.(tb)) in
-          if not (Float.is_finite dd) then raise Exit;
-          let need = max 0 (int_of_float dd - 1) in
-          if need > !mx then mx := need;
-          sum := !sum + need)
-        tok_pairs;
-      max !mx ((!sum + 1) / 2)
-    in
-    let h0 = try h () with Exit -> invalid_arg "Exact.solve_window: unreachable pair" in
-    if h0 = 0 then Optimal []
-    else begin
-      let edges = Coupling.edges coupling in
-      let key () = String.init n_tok (fun t -> Char.chr loc.(t)) in
-      let apply (u, v) =
-        let tu = pos.(u) and tv = pos.(v) in
-        pos.(u) <- tv;
-        pos.(v) <- tu;
-        if tu >= 0 then loc.(tu) <- v;
-        if tv >= 0 then loc.(tv) <- u
-      in
-      let gas = gas_of budget in
-      (* transposition table for the current threshold iteration: canonical
-         state -> best g reached; re-entering no cheaper is pruned *)
-      let seen = Hashtbl.create 1024 in
-      let rec dfs g bound path =
-        let hh = h () in
-        if hh = 0 then Some (List.rev path)
-        else if g + hh > bound then None
-        else begin
-          burn gas;
-          let rec try_edges = function
-            | [] -> None
-            | ((u, v) as e) :: rest ->
-                if pos.(u) < 0 && pos.(v) < 0 then try_edges rest
-                else begin
-                  apply e;
-                  let k = key () in
-                  let worth =
-                    match Hashtbl.find_opt seen k with
-                    | Some g' when g' <= g + 1 -> false
-                    | _ ->
-                        Hashtbl.replace seen k (g + 1);
-                        true
-                  in
-                  let r = if worth then dfs (g + 1) bound (e :: path) else None in
-                  match r with
-                  | Some _ -> r
-                  | None ->
-                      apply e;
-                      (* undo *)
-                      try_edges rest
-                end
-          in
-          try_edges edges
-        end
-      in
-      let rec deepen bound =
-        Hashtbl.reset seen;
-        Hashtbl.replace seen (key ()) 0;
-        match dfs 0 bound [] with
-        | Some swaps -> Optimal swaps
-        | None -> deepen (bound + 1)
-      in
-      match deepen h0 with
-      | r ->
-          Qobs.incr c_solved;
-          r
-      | exception Out_of_budget ->
-          Qobs.incr c_trips;
-          Budget_exceeded
-    end
-  end
 
 (* ---- whole-circuit optimum ----
 
@@ -238,7 +110,6 @@ let front_gates pb mask =
   List.rev !ready
 
 let solve_fixed ~gas ~coupling ~dist pb l2p0 ~best_bound =
-  let d = Distmat.raw dist and dn = Distmat.n dist in
   let n_gates = Array.length pb.gates in
   let all_done = (1 lsl n_gates) - 1 in
   let edges = Coupling.edges coupling in
@@ -275,16 +146,7 @@ let solve_fixed ~gas ~coupling ~dist pb l2p0 ~best_bound =
       (front_gates pb mask)
   in
   let h mask =
-    let mx = ref 0 and sum = ref 0 in
-    List.iter
-      (fun (a, b) ->
-        let dd = d.((a * dn) + b) in
-        if not (Float.is_finite dd) then raise Exit;
-        let need = max 0 (int_of_float dd - 1) in
-        if need > !mx then mx := need;
-        sum := !sum + need)
-      (front_pairs mask);
-    max !mx ((!sum + 1) / 2)
+    try lower_bound ~dist (front_pairs mask) with Invalid_argument _ -> raise Exit
   in
   let key mask = (String.init pb.n_log (fun l -> Char.chr l2p.(l)), mask) in
   let seen = Hashtbl.create 4096 in

@@ -6,43 +6,27 @@
     and the goal is to bring designated token pairs next to each other with
     as few SWAPs as possible.  This module solves that exactly, with no
     external solver dependency: IDA* / branch-and-bound over mapping states,
-    the admissible bound [max (max_i (d_i - 1)) (ceil (sum_i (d_i - 1) / 2))]
-    read from the flat {!Topology.Distmat}, and canonical state hashing for
-    transposition pruning.
+    the admissible bound {!lower_bound} read from the flat
+    {!Topology.Distmat}, and canonical state hashing for transposition
+    pruning.
 
-    Two entry points:
-    - {!solve_window} — minimal SWAP sequence making a set of disjoint
-      physical pairs simultaneously adjacent (the hybrid router's
-      front-layer subproblem);
-    - {!min_swaps} — minimal total SWAP count to route a whole (small)
-      circuit, from a fixed initial layout or minimized over {e all}
-      injective layouts (the optimality-gap harness's ground truth).
+    {!min_swaps} is the minimal total SWAP count to route a whole (small)
+    circuit, from a fixed initial layout or minimized over {e all}
+    injective layouts: the ground truth of the optimality-gap harness and
+    of the [audit.optimality] lint rule.
 
-    Everything is budgeted: the search reports {!Budget_exceeded} instead
-    of running away.  With the default infinite time budget the solver is a
-    pure function of its inputs — deterministic across runs, machines, and
-    worker counts — which is what lets the hybrid router sit inside the
-    fixed-seed reproducibility envelope.
+    The search is budgeted by expanded nodes only and reports
+    {!Route_budget_exceeded} instead of running away.  With no clock in
+    the loop, the result is a pure function of its inputs: deterministic
+    across runs, machines, and worker counts.
 
-    Observability: [exact.nodes_expanded], [exact.windows_solved] and
-    [exact.budget_trips] counters, plus [exact.solve_window] /
-    [exact.min_swaps] spans. *)
+    Observability: [exact.nodes_expanded], [exact.solved] and
+    [exact.budget_trips] counters, plus the [exact.min_swaps] span. *)
 
-type budget = {
-  max_nodes : int;  (** search-node expansions before giving up *)
-  max_seconds : float;
-      (** wall-clock cap; [infinity] (the default) keeps the solver
-          deterministic — prefer node budgets anywhere reproducibility
-          matters *)
-}
+type budget = { max_nodes : int  (** search-node expansions before giving up *) }
 
 val default_budget : budget
-(** 200k nodes, no time limit. *)
-
-type outcome =
-  | Optimal of (int * int) list
-      (** provably minimal SWAP sequence, in application order *)
-  | Budget_exceeded
+(** 200k nodes. *)
 
 type route_outcome =
   | Routed of { n_swaps : int; initial_layout : int array }
@@ -50,22 +34,11 @@ type route_outcome =
 
 val lower_bound : dist:Topology.Distmat.t -> (int * int) list -> int
 (** Admissible lower bound on the SWAPs needed to make every pair
-    adjacent.  Pairs must be pairwise disjoint (a routing front layer
-    always is).  Exposed for the admissibility property tests.
+    adjacent: [max (max_i (d_i - 1)) (ceil (sum_i (d_i - 1) / 2))] over the
+    pairs' hop distances [d_i].  Pairs must be pairwise disjoint (a routing
+    front layer always is).  {!min_swaps} prunes with it; exposed for the
+    admissibility property tests.
     @raise Invalid_argument on an unreachable pair. *)
-
-val solve_window :
-  ?budget:budget ->
-  Topology.Coupling.t ->
-  dist:Topology.Distmat.t ->
-  pairs:(int * int) list ->
-  outcome
-(** [solve_window coupling ~dist ~pairs] returns a minimal SWAP sequence
-    (as physical coupling edges, in order) after which every pair in
-    [pairs] is adjacent on [coupling].  [pairs] are physical-qubit pairs
-    under the current mapping and must be pairwise disjoint.
-    @raise Invalid_argument on overlapping, out-of-range or unreachable
-    pairs. *)
 
 val min_swaps :
   ?budget:budget ->

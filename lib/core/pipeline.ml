@@ -7,7 +7,6 @@ type router =
   | Sabre_ha
   | Nassc_ha of Nassc.config
   | Astar_router
-  | Hybrid_router of Hybrid.config
 
 type result = {
   circuit : Qcircuit.Circuit.t;
@@ -112,7 +111,7 @@ type stream_result = {
 
 let streamable = function
   | Sabre_router | Nassc_router _ | Sabre_ha | Nassc_ha _ -> true
-  | Full_connectivity | Astar_router | Hybrid_router _ -> false
+  | Full_connectivity | Astar_router -> false
 
 let transpile_stream ?(params = Engine.default_params) ?calibration ?(window = 4096)
     ?(chunk = 4096) ?(optimize = false) ~router ~sink coupling source =
@@ -265,9 +264,6 @@ let transpile ?(params = Engine.default_params) ?calibration ?(trials = 1) ?work
             coupling logical
         in
         (Sabre.decompose_swaps r.circuit, r.n_swaps, Some (r.initial_layout, r.final_layout))
-    | Hybrid_router config ->
-        let r = Hybrid.route ~params ~config coupling logical in
-        (r.circuit, r.n_swaps, Some (r.initial_layout, r.final_layout))
     | Sabre_ha ->
         let dist = Option.get dist_ha in
         let r = Sabre.route ~params ~dist coupling logical in

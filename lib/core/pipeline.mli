@@ -23,8 +23,6 @@ type router =
   | Sabre_ha  (** SABRE with the noise-aware distance matrix (eq. 3) *)
   | Nassc_ha of Nassc.config
   | Astar_router  (** Zulehner-style layered A* baseline (related work) *)
-  | Hybrid_router of Hybrid.config
-      (** NASSC engine with exact-oracle front windows ({!Hybrid.route}) *)
 
 type result = {
   circuit : Qcircuit.Circuit.t;  (** final circuit in the hardware basis *)
@@ -120,7 +118,7 @@ type stream_result = {
 
 val streamable : router -> bool
 (** Routers the streaming flow supports: [Sabre_router], [Nassc_router],
-    and their noise-aware variants.  [Astar_router], [Hybrid_router] and
+    and their noise-aware variants.  [Astar_router] and
     [Full_connectivity] need the whole circuit. *)
 
 val transpile_stream :

@@ -87,7 +87,6 @@ let routers =
     ("astar", Qroute.Pipeline.Astar_router);
     ("sabre-ha", Qroute.Pipeline.Sabre_ha);
     ("nassc-ha", Qroute.Pipeline.Nassc_ha Qroute.Nassc.default_config);
-    ("hybrid", Qroute.Pipeline.Hybrid_router Qroute.Hybrid.default_config);
   ]
 
 type cell = {

@@ -32,8 +32,8 @@ val full_topologies : unit -> (string * Topology.Coupling.t) list
 (** line12, ring12, grid3x4, heavyhex2x3, montreal. *)
 
 val routers : (string * Qroute.Pipeline.router) list
-(** All six routers, in the routing-golden column order:
-    sabre, nassc, astar, sabre-ha, nassc-ha, hybrid. *)
+(** All five routers, in the routing-golden column order:
+    sabre, nassc, astar, sabre-ha, nassc-ha. *)
 
 type cell = {
   family : string;

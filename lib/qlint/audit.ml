@@ -270,7 +270,6 @@ let optimality ?(seed = 11) () =
       ("sabre", Qroute.Pipeline.Sabre_router);
       ("nassc", Qroute.Pipeline.Nassc_router Qroute.Nassc.default_config);
       ("astar", Qroute.Pipeline.Astar_router);
-      ("hybrid", Qroute.Pipeline.Hybrid_router Qroute.Hybrid.default_config);
     ]
   in
   let entry name =

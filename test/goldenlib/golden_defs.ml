@@ -57,7 +57,6 @@ let routers =
     ("astar", Qroute.Pipeline.Astar_router);
     ("sabre-ha", Qroute.Pipeline.Sabre_ha);
     ("nassc-ha", Qroute.Pipeline.Nassc_ha Qroute.Nassc.default_config);
-    ("hybrid", Qroute.Pipeline.Hybrid_router Qroute.Hybrid.default_config);
   ]
 
 let trials_axis = [ 1; 8 ]
@@ -109,14 +108,13 @@ let generate () = String.concat "\n" (lines ()) ^ "\n"
    against the recorded optima (expensive to certify), asserting gaps
    never grow and the oracle invariant router >= optimal holds. *)
 
-let gap_oracle_budget = { Qroute.Exact.max_nodes = 5_000_000; max_seconds = infinity }
+let gap_oracle_budget = { Qroute.Exact.max_nodes = 5_000_000 }
 
 let gap_routers =
   [
     ("sabre", Qroute.Pipeline.Sabre_router);
     ("nassc", Qroute.Pipeline.Nassc_router Qroute.Nassc.default_config);
     ("astar", Qroute.Pipeline.Astar_router);
-    ("hybrid", Qroute.Pipeline.Hybrid_router Qroute.Hybrid.default_config);
   ]
 
 let gap_line (e : Qbench.Gapcorpus.entry) tname coupling =

@@ -48,7 +48,6 @@ let routers =
   [
     ("sabre", Qroute.Pipeline.Sabre_router);
     ("nassc", Qroute.Pipeline.Nassc_router Qroute.Nassc.default_config);
-    ("hybrid", Qroute.Pipeline.Hybrid_router Qroute.Hybrid.default_config);
   ]
 
 let equivalent_after ~router ~coupling c seed =
@@ -176,7 +175,7 @@ let test_montreal_sweep () =
 
    Every parameterized family that feeds `bench --only matrix`, at <=6
    qubits, through every router of the matrix (including the
-   heuristic-aware and hybrid variants): the routed circuit must stay
+   noise-aware variants): the routed circuit must stay
    statevector-equivalent to the generated logical circuit on every
    topology. *)
 

@@ -2,16 +2,14 @@
 
    The oracle's claim is strong — *provably minimal* SWAP counts — so the
    checks here are independent re-derivations, not fixtures:
-   - the returned SWAP sequence must be executable (edges of the coupling)
-     and must actually bring every requested pair to adjacency;
-   - its length must equal an independent brute-force BFS over
-     token-permutation states, written from scratch below with none of the
-     oracle's pruning;
-   - the admissible distance bound must never exceed the BFS optimum
-     (admissibility is what makes IDA* exact, so it gets its own check);
+   - the admissible distance bound must never exceed the optimum of an
+     independent brute-force BFS over token-permutation states, written
+     from scratch below with none of the oracle's pruning (admissibility
+     is what makes IDA* exact, so it gets its own check);
    - whole-circuit minima must match a brute-force BFS over
      (mapping, executed-set) states, and the free-layout optimum must never
-     exceed any fixed-layout optimum. *)
+     exceed any fixed-layout optimum;
+   - a node budget too small to finish is reported, never hidden. *)
 
 open Mathkit
 open Qcircuit
@@ -159,41 +157,18 @@ let random_circuit seed =
   done;
   Circuit.Builder.circuit b
 
-(* ---------- window properties ---------- *)
+(* ---------- the admissible bound ---------- *)
 
-let apply_swap_positions map (u, v) =
-  Array.iteri (fun i p -> if p = u then map.(i) <- v else if p = v then map.(i) <- u) map
-
-let qcheck_window =
+let qcheck_bound =
   let gen_seed = QCheck.Gen.int_range 0 1_000_000 in
-  QCheck.Test.make ~name:"solve_window: valid, adjacent, and BFS-minimal" ~count:60
+  QCheck.Test.make ~name:"lower_bound <= bfs_window optimum" ~count:60
     (QCheck.make gen_seed)
     (fun seed ->
       let rng = Rng.create seed in
       let _name, coupling = coupling_for seed in
-      let n = Topology.Coupling.n_qubits coupling in
-      let pairs = random_pairs rng n in
+      let pairs = random_pairs rng (Topology.Coupling.n_qubits coupling) in
       let dist = Topology.Distmat.hops coupling in
-      match Qroute.Exact.solve_window coupling ~dist ~pairs with
-      | Budget_exceeded -> false
-      | Optimal swaps ->
-          (* (i) every step is a device edge *)
-          let edges_ok =
-            List.for_all (fun (u, v) -> Topology.Coupling.connected coupling u v) swaps
-          in
-          (* (i) replaying the sequence really routes every pair to adjacency *)
-          let where = Array.init n (fun i -> i) in
-          List.iter (apply_swap_positions where) swaps;
-          let adjacent_ok =
-            List.for_all
-              (fun (a, b) -> Topology.Coupling.connected coupling where.(a) where.(b))
-              pairs
-          in
-          (* (ii) the length matches the independent brute force *)
-          let bfs = bfs_window coupling pairs in
-          (* (iii) the admissible bound never exceeds the optimum *)
-          let lb = Qroute.Exact.lower_bound ~dist pairs in
-          edges_ok && adjacent_ok && List.length swaps = bfs && lb <= bfs)
+      Qroute.Exact.lower_bound ~dist pairs <= bfs_window coupling pairs)
 
 (* ---------- whole-circuit properties ---------- *)
 
@@ -246,42 +221,46 @@ let qcheck_circuit_free =
 
 (* ---------- deterministic units ---------- *)
 
+let cx_circuit n pairs =
+  let b = Circuit.Builder.create n in
+  List.iter (fun (a, c) -> Circuit.Builder.add b Gate.CX [ a; c ]) pairs;
+  Circuit.Builder.circuit b
+
+let identity n = Array.init n (fun i -> i)
+
 let test_already_adjacent () =
   let coupling = Topology.Devices.linear 4 in
-  let dist = Topology.Distmat.hops coupling in
-  match Qroute.Exact.solve_window coupling ~dist ~pairs:[ (0, 1); (2, 3) ] with
-  | Optimal [] -> ()
-  | Optimal _ -> Alcotest.fail "already-adjacent pairs need no swaps"
-  | Budget_exceeded -> Alcotest.fail "trivial window exceeded budget"
+  match
+    Qroute.Exact.min_swaps ~init_layout:(identity 4) coupling
+      (cx_circuit 4 [ (0, 1); (2, 3) ])
+  with
+  | Routed { n_swaps; _ } -> checki "already-adjacent gates need no swaps" 0 n_swaps
+  | Route_budget_exceeded -> Alcotest.fail "trivial circuit exceeded budget"
 
 let test_line_end_to_end () =
   (* on a 4-line, making (0,3) adjacent takes exactly 2 swaps *)
   let coupling = Topology.Devices.linear 4 in
-  let dist = Topology.Distmat.hops coupling in
-  match Qroute.Exact.solve_window coupling ~dist ~pairs:[ (0, 3) ] with
-  | Optimal swaps -> checki "two swaps" 2 (List.length swaps)
-  | Budget_exceeded -> Alcotest.fail "budget on 4-line"
+  match
+    Qroute.Exact.min_swaps ~init_layout:(identity 4) coupling (cx_circuit 4 [ (0, 3) ])
+  with
+  | Routed { n_swaps; _ } -> checki "two swaps" 2 n_swaps
+  | Route_budget_exceeded -> Alcotest.fail "budget on 4-line"
 
 let test_budget_trips () =
-  (* a 1-node budget cannot finish a nontrivial window *)
+  (* a 1-node budget cannot finish a circuit that needs swaps, and the trip
+     is counted *)
   let coupling = Topology.Devices.linear 6 in
-  let dist = Topology.Distmat.hops coupling in
-  match
-    Qroute.Exact.solve_window
-      ~budget:{ Qroute.Exact.max_nodes = 1; max_seconds = infinity }
-      coupling ~dist ~pairs:[ (0, 5) ]
-  with
-  | Budget_exceeded -> ()
-  | Optimal _ -> Alcotest.fail "1-node budget should trip"
-
-let test_rejects_overlap () =
-  let coupling = Topology.Devices.linear 4 in
-  let dist = Topology.Distmat.hops coupling in
-  check "overlapping pairs rejected" true
-    (try
-       ignore (Qroute.Exact.solve_window coupling ~dist ~pairs:[ (0, 2); (2, 3) ]);
-       false
-     with Invalid_argument _ -> true)
+  let c = Qobs.Collector.create ~label:"exact" () in
+  let outcome =
+    Qobs.with_collector c (fun () ->
+        Qroute.Exact.min_swaps ~budget:{ Qroute.Exact.max_nodes = 1 } ~init_layout:(identity 6)
+          coupling (cx_circuit 6 [ (0, 5) ]))
+  in
+  (match outcome with
+  | Route_budget_exceeded -> ()
+  | Routed _ -> Alcotest.fail "1-node budget should trip");
+  checki "exact.budget_trips bumped" 1
+    (Qobs.Trace.counter_total (Qobs.Trace.of_root c) "exact.budget_trips")
 
 let test_qft4_line_known_optimum () =
   (* QFT-4 lowered on a 4-line: the free-layout optimum is stable and small;
@@ -300,18 +279,14 @@ let test_qft4_line_known_optimum () =
 let () =
   Alcotest.run "exact"
     [
-      ( "window",
-        [
-          QCheck_alcotest.to_alcotest qcheck_window;
-          Alcotest.test_case "already adjacent" `Quick test_already_adjacent;
-          Alcotest.test_case "line end-to-end" `Quick test_line_end_to_end;
-          Alcotest.test_case "budget trips" `Quick test_budget_trips;
-          Alcotest.test_case "overlap rejected" `Quick test_rejects_overlap;
-        ] );
+      ("window", [ QCheck_alcotest.to_alcotest qcheck_bound ]);
       ( "circuit",
         [
           QCheck_alcotest.to_alcotest qcheck_circuit_fixed;
           QCheck_alcotest.to_alcotest qcheck_circuit_free;
+          Alcotest.test_case "already adjacent" `Quick test_already_adjacent;
+          Alcotest.test_case "line end-to-end" `Quick test_line_end_to_end;
+          Alcotest.test_case "budget trips" `Quick test_budget_trips;
           Alcotest.test_case "qft4 on line4" `Quick test_qft4_line_known_optimum;
         ] );
     ]

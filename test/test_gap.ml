@@ -10,9 +10,7 @@
    - soundness: no router beats a certified optimum (a router below the
      oracle means one of the two is broken);
    - no regression: each router's gap never grows (swaps <= recorded,
-     improvements are allowed and show up when regenerating);
-   - portfolio invariant: hybrid is never worse than NASSC, which
-     Hybrid.route guarantees by construction at equal seeds. *)
+     improvements are allowed and show up when regenerating). *)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -66,7 +64,6 @@ let router_of_name = function
   | "sabre" -> Qroute.Pipeline.Sabre_router
   | "nassc" -> Qroute.Pipeline.Nassc_router Qroute.Nassc.default_config
   | "astar" -> Qroute.Pipeline.Astar_router
-  | "hybrid" -> Qroute.Pipeline.Hybrid_router Qroute.Hybrid.default_config
   | r -> Alcotest.fail ("gap.golden: unknown router " ^ r)
 
 let corpus_entry name =
@@ -92,31 +89,23 @@ let test_corpus () =
       let e = corpus_entry row.circuit in
       let coupling = coupling_of row.topology in
       let where = Printf.sprintf "%s/%s" row.circuit row.topology in
-      let swaps =
-        List.map
-          (fun (rname, recorded) ->
-            let r =
-              Qroute.Pipeline.transpile ~params ~trials:1
-                ~router:(router_of_name rname) coupling (e.build ())
-            in
-            let n = r.Qroute.Pipeline.n_swaps in
-            (match row.optimal with
-            | Some opt ->
-                if n < opt then
-                  Alcotest.failf "%s: %s inserted %d swaps, below certified optimum %d"
-                    where rname n opt
-            | None -> ());
-            if n > recorded then
-              Alcotest.failf "%s: %s gap regressed (%d swaps > recorded %d)" where
-                rname n recorded;
-            (rname, n))
-          row.recorded
-      in
-      match (List.assoc_opt "hybrid" swaps, List.assoc_opt "nassc" swaps) with
-      | Some h, Some n ->
-          if h > n then
-            Alcotest.failf "%s: hybrid (%d) worse than nassc (%d)" where h n
-      | _ -> Alcotest.fail (where ^ ": golden row missing hybrid or nassc"))
+      List.iter
+        (fun (rname, recorded) ->
+          let r =
+            Qroute.Pipeline.transpile ~params ~trials:1
+              ~router:(router_of_name rname) coupling (e.build ())
+          in
+          let n = r.Qroute.Pipeline.n_swaps in
+          (match row.optimal with
+          | Some opt ->
+              if n < opt then
+                Alcotest.failf "%s: %s inserted %d swaps, below certified optimum %d"
+                  where rname n opt
+          | None -> ());
+          if n > recorded then
+            Alcotest.failf "%s: %s gap regressed (%d swaps > recorded %d)" where
+              rname n recorded)
+        row.recorded)
     rows
 
 (* the recorded optima are certified lower bounds: spot-check a handful

@@ -41,10 +41,10 @@ let test_golden_workers_1_vs_4 () =
 
 let test_cell_coverage () =
   let cells = quick_cells ~workers:2 in
-  (* one instance per family x 2 golden topologies x all 6 routers *)
+  (* one instance per family x 2 golden topologies x all 5 routers *)
   let families = List.sort_uniq compare (List.map (fun c -> c.Matrix.family) cells) in
   checki "five families" 5 (List.length families);
-  checki "full cross product" (5 * 2 * 6) (List.length cells);
+  checki "full cross product" (5 * 2 * 5) (List.length cells);
   List.iter
     (fun (rname, _) ->
       checki

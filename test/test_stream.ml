@@ -166,8 +166,6 @@ let test_ha_variants () =
 let test_streamable_guard () =
   let coupling = Topology.Devices.linear 5 in
   check "astar not streamable" false (Qroute.Pipeline.streamable Qroute.Pipeline.Astar_router);
-  check "hybrid not streamable" false
-    (Qroute.Pipeline.streamable (Qroute.Pipeline.Hybrid_router Qroute.Hybrid.default_config));
   check "sabre streamable" true (Qroute.Pipeline.streamable Qroute.Pipeline.Sabre_router);
   Alcotest.check_raises "astar raises Invalid_argument"
     (Invalid_argument

@@ -46,7 +46,6 @@ let all_routers =
     ("astar", Qroute.Pipeline.Astar_router);
     ("sabre-ha", Qroute.Pipeline.Sabre_ha);
     ("nassc-ha", Qroute.Pipeline.Nassc_ha Qroute.Nassc.default_config);
-    ("hybrid", Qroute.Pipeline.Hybrid_router Qroute.Hybrid.default_config);
   ]
 
 (* ---------- seed-splitting scheme ---------- *)
@@ -151,60 +150,6 @@ let test_single_trial_matches_pre_pr_golden () =
       check "explicit trials:1 equals default path" true (fingerprint r0 = fingerprint r1))
     golden
 
-(* the hybrid router adds an exact solver inside the routing loop; its
-   budget is node-count based (never wall clock), so its output must be as
-   reproducible as the pure heuristics: byte-identical across repeat runs
-   and across worker counts at a fixed seed *)
-let test_hybrid_deterministic_across_runs () =
-  let c = Qbench.Generators.qft 6 in
-  let coupling = Topology.Devices.linear 8 in
-  let params = { Qroute.Engine.default_params with seed = 11 } in
-  let run () =
-    Qroute.Pipeline.transpile ~params ~trials:8
-      ~router:(Qroute.Pipeline.Hybrid_router Qroute.Hybrid.default_config) coupling c
-  in
-  let a = run () and b = run () in
-  checki "cx stable" a.cx_total b.cx_total;
-  checki "depth stable" a.depth b.depth;
-  checki "swaps stable" a.n_swaps b.n_swaps;
-  check "gate list stable" true (fingerprint a = fingerprint b)
-
-let test_hybrid_deterministic_across_workers () =
-  let c = Qbench.Generators.qft 6 in
-  let coupling = Topology.Devices.linear 8 in
-  let params = { Qroute.Engine.default_params with seed = 11 } in
-  let with_workers w =
-    Qroute.Pipeline.transpile ~params ~trials:8 ~workers:w
-      ~router:(Qroute.Pipeline.Hybrid_router Qroute.Hybrid.default_config) coupling c
-  in
-  let a = with_workers 1 and b = with_workers 4 in
-  checki "cx worker-independent" a.cx_total b.cx_total;
-  checki "depth worker-independent" a.depth b.depth;
-  check "gate list worker-independent" true (fingerprint a = fingerprint b);
-  check "per-trial stats worker-independent" true
-    (List.map
-       (fun (s : Qroute.Trials.stat) -> (s.trial, s.seed, s.cx_total, s.depth, s.n_swaps))
-       a.trial_stats
-    = List.map
-        (fun (s : Qroute.Trials.stat) -> (s.trial, s.seed, s.cx_total, s.depth, s.n_swaps))
-        b.trial_stats)
-
-(* the portfolio guarantee the gap corpus relies on: at equal seeds the
-   hybrid never inserts more swaps than plain NASSC *)
-let test_hybrid_never_worse_than_nassc () =
-  List.iter
-    (fun seed ->
-      let c = random_circuit seed in
-      let _t, coupling = topology_for seed (Circuit.n_qubits c) in
-      let params = { Qroute.Engine.default_params with seed = 1 + (seed mod 97) } in
-      let swaps router =
-        (Qroute.Pipeline.transpile ~params ~trials:1 ~router coupling c).Qroute.Pipeline.n_swaps
-      in
-      let h = swaps (Qroute.Pipeline.Hybrid_router Qroute.Hybrid.default_config) in
-      let n = swaps (Qroute.Pipeline.Nassc_router Qroute.Nassc.default_config) in
-      check (Printf.sprintf "seed %d: hybrid %d <= nassc %d" seed h n) true (h <= n))
-    [ 2; 5; 23; 42; 77 ]
-
 (* ---------- report bookkeeping ---------- *)
 
 let test_stats_shape () =
@@ -241,10 +186,6 @@ let () =
           Alcotest.test_case "repeat runs" `Quick test_trials_deterministic_across_runs;
           Alcotest.test_case "1 vs 4 workers" `Quick test_trials_deterministic_across_workers;
           Alcotest.test_case "n=1 pre-PR golden" `Quick test_single_trial_matches_pre_pr_golden;
-          Alcotest.test_case "hybrid repeat runs" `Quick test_hybrid_deterministic_across_runs;
-          Alcotest.test_case "hybrid 1 vs 4 workers" `Quick
-            test_hybrid_deterministic_across_workers;
-          Alcotest.test_case "hybrid <= nassc swaps" `Quick test_hybrid_never_worse_than_nassc;
         ] );
       ("report", [ Alcotest.test_case "stats shape" `Quick test_stats_shape ]);
     ]
